@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.tunnels import Tunnel, TunnelError, TunnelFactory
 from repro.metrics.counters import MetricsRegistry
-from repro.net.network import Network, compose_paths
+from repro.net.network import Network, NetworkError, compose_paths
 from repro.net.node import Host
 from repro.transport.mptcp import MptcpConnection, MptcpSubflow
 
@@ -242,13 +242,16 @@ class DetourTransfer:
                     waypoint=handle.waypoint.host.name).finish()
         if self.connection.stalled:
             try:
+                path = self._data_path()
+            except NetworkError:
+                # Still partitioned; try again next tick.
+                self.manager._c_direct_revive_failures.inc()
+            else:
                 self.direct_subflow = self.connection.add_subflow(
-                    self._data_path(), label=f"{self.label}.direct-revive")
+                    path, label=f"{self.label}.direct-revive")
                 self.manager._c_direct_failovers.inc()
                 self.sim.tracer.start_span(
                     "dcol.direct_failover", parent=self._span).finish()
-            except Exception:
-                pass  # still partitioned; try again next tick
         self._schedule_watchdog()
 
     def withdraw_detour(self, handle: DetourHandle) -> None:
@@ -372,6 +375,9 @@ class DetourManager:
         self._c_direct_failovers = self.metrics.counter(
             "direct_failovers",
             help="Stalled transfers revived with a fresh direct subflow")
+        self._c_direct_revive_failures = self.metrics.counter(
+            "direct_revive_failures",
+            help="Direct-path revives that found no route (partitioned)")
 
     @property
     def sim(self):

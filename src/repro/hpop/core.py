@@ -80,7 +80,18 @@ class HpopService:
 
     def __init__(self) -> None:
         self.hpop: Optional["Hpop"] = None
-        self.running = False
+        self._running = False
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    @running.setter
+    def running(self, value: bool) -> None:
+        if value != self._running:
+            self._running = value
+            if self.hpop is not None:
+                self.hpop.host.network.liveness_epoch += 1
 
     def on_install(self, hpop: "Hpop") -> None:
         """Called once when added to an appliance."""

@@ -123,6 +123,10 @@ class Network:
         self._graph = nx.Graph()
         self._path_cache: Dict[Tuple[str, str], Path] = {}
         self._routing_epoch = 0
+        # Bumped whenever a node's power or an HPoP service's running
+        # state actually changes, so liveness-derived caches (the NoCDN
+        # origin's usable-peer snapshot) can tell they are stale.
+        self.liveness_epoch = 0
         # Optional fast-path route constructor, consulted on cache miss
         # before the generic shortest-path solver. Returning None falls
         # back to Dijkstra, so a provider only needs to cover the

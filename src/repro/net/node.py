@@ -66,10 +66,14 @@ class Node:
 
     def power_off(self) -> None:
         """Failure injection: node stops responding until powered on."""
-        self._powered = False
+        if self._powered:
+            self._powered = False
+            self.network.liveness_epoch += 1
 
     def power_on(self) -> None:
-        self._powered = True
+        if not self._powered:
+            self._powered = True
+            self.network.liveness_epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         addr = str(self.address) if self.interfaces else "unaddressed"

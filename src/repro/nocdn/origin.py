@@ -8,7 +8,8 @@ maintains peer trust; detects anomalies; and pays peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.http.content import ContentCatalog, WebPage
@@ -24,7 +25,12 @@ from repro.net.network import Network
 from repro.net.node import Host
 from repro.nocdn.directory import ContentDirectory
 from repro.nocdn.records import UsageRecord
-from repro.nocdn.selection import RandomSelection, SelectionPolicy, chunked_assignment
+from repro.nocdn.selection import (
+    RandomSelection,
+    SelectionPolicy,
+    UsablePeers,
+    chunked_assignment,
+)
 from repro.nocdn.strategy import CacheStrategy, StrategySelection
 from repro.nocdn.wrapper import LOADER_SCRIPT_SIZE, ChunkAssignment, WrapperPage
 from repro.util.crypto import NonceRegistry, deterministic_key
@@ -34,18 +40,44 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.nocdn.peer import NoCdnPeerService
 
 
+class _Watched:
+    """A ``PeerInfo`` field that decides whether (or in which fallback
+    order) a peer is usable: every write, direct ones included, tells
+    the owning provider its usable-peer snapshot is stale."""
+
+    def __init__(self, default: object) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: object, objtype: Optional[type] = None) -> object:
+        if obj is None:
+            return self.default  # the dataclass field default
+        return obj.__dict__[self.slot]
+
+    def __set__(self, obj: "PeerInfo", value: object) -> None:
+        obj.__dict__[self.slot] = value
+        if obj.on_change is not None:
+            obj.on_change()
+
+
 @dataclass
 class PeerInfo:
     """The origin's view of one recruited peer."""
 
+    # Not a dataclass field (no annotation): the owning provider sets it
+    # on registration.
+    on_change = None
+
     peer_id: str
     host: Host
     service: "NoCdnPeerService"
-    trust: float = 1.0
+    trust: float = _Watched(1.0)
     outstanding_bytes: int = 0
-    expelled: bool = False
+    expelled: bool = _Watched(False)
     corruption_reports: int = 0
-    quarantined_until: float = 0.0
+    quarantined_until: float = _Watched(0.0)
     quarantines: int = 0
 
     @property
@@ -129,6 +161,8 @@ class ContentProvider:
         self.directory = directory
         # Each fallback peer gets a whole-page byte cap; at fleet scale
         # an uncapped fallback list means O(fleet) KeyIssues per wrapper.
+        if max_fallbacks is not None and max_fallbacks < 0:
+            raise ValueError("max_fallbacks must be >= 0")
         self.max_fallbacks = max_fallbacks
         if selection is None and strategy is not None:
             selection = StrategySelection(strategy, directory, site_name)
@@ -143,6 +177,14 @@ class ContentProvider:
         self.expel_threshold = expel_threshold
         self.sim = network.sim
         self.peers: Dict[str, PeerInfo] = {}
+        # The usable-peer snapshot ``alive_peers`` hands out. It stays
+        # valid while the network's liveness epoch, this provider's peer
+        # generation (registration, expulsion, quarantine, trust) and
+        # the earliest pending quarantine release are all unchanged.
+        self._peer_generation = 0
+        self._usable_peers = UsablePeers()
+        self._usable_key: Optional[tuple] = None
+        self._next_release = float("inf")
         self.audit = AuditStats()
         self.audit_by_peer: Dict[str, AuditStats] = {}
         self.payable_bytes: Dict[str, float] = {}
@@ -172,9 +214,14 @@ class ContentProvider:
     # -- peer management -----------------------------------------------------
 
     def register_peer(self, service: "NoCdnPeerService") -> PeerInfo:
-        info = PeerInfo(peer_id=service.peer_id, host=service.hpop.host,
-                        service=service)
+        host = service.hpop.host
+        if host.network is not self.network:
+            # The snapshot watches this network's liveness epoch only.
+            raise ValueError(f"peer {service.peer_id} is on another network")
+        info = PeerInfo(peer_id=service.peer_id, host=host, service=service)
+        info.on_change = self._peers_changed
         self.peers[info.peer_id] = info
+        self._peers_changed()
         if self.strategy is not None:
             self.strategy.register_peer(info.peer_id)
         return info
@@ -183,7 +230,7 @@ class ContentProvider:
         """Remove a misbehaving peer from future assignments."""
         info = self.peers.get(peer_id)
         if info is not None:
-            info.expelled = True
+            info.expelled = True  # bumps the peer generation
             if self.strategy is not None:
                 self.strategy.unregister_peer(peer_id)
             if self.directory is not None:
@@ -217,8 +264,25 @@ class ContentProvider:
     def _usable(self, info: PeerInfo) -> bool:
         return info.alive and self.sim.now >= info.quarantined_until
 
-    def alive_peers(self) -> List[PeerInfo]:
-        return [p for p in self.peers.values() if self._usable(p)]
+    def _peers_changed(self) -> None:
+        self._peer_generation += 1
+
+    def alive_peers(self) -> UsablePeers:
+        """The usable peers, in registration order (shared; read-only).
+
+        Rebuilt only when something that decides usability changed, so
+        a wrapper build costs the same at 40 peers as at 10k.
+        """
+        now = self.sim.now
+        key = (self._peer_generation, self.network.liveness_epoch)
+        if key != self._usable_key or now >= self._next_release:
+            self._usable_peers = UsablePeers(
+                p for p in self.peers.values() if self._usable(p))
+            self._usable_key = key
+            self._next_release = min(
+                (p.quarantined_until for p in self.peers.values()
+                 if p.quarantined_until > now), default=float("inf"))
+        return self._usable_peers
 
     # -- routes ------------------------------------------------------------------
 
@@ -329,14 +393,11 @@ class ContentProvider:
         # failed fetch against before going back to the origin. Only
         # peers *without* an assignment qualify: a substitute serves
         # arbitrary objects, so its byte cap must cover the whole page,
-        # which would defeat auditing for an already-capped peer.
-        fallbacks = [
-            info.peer_id for info in sorted(
-                (p for p in peers if p.peer_id not in used_peer_ids),
-                key=lambda p: (-p.trust, p.peer_id))
-        ]
-        if self.max_fallbacks is not None:
-            fallbacks = fallbacks[: self.max_fallbacks]
+        # which would defeat auditing for an already-capped peer. The
+        # walk over the cached trust order stops at ``max_fallbacks``.
+        fallbacks = list(islice(
+            (p for p in peers.by_trust if p not in used_peer_ids),
+            self.max_fallbacks))
         peer_endpoints = {}
         peer_keys = {}
         from repro.hpop.core import HPOP_PORT
@@ -442,7 +503,7 @@ class ContentProvider:
             return
         info.trust *= self.trust_penalty
         if info.trust < self.expel_threshold:
-            info.expelled = True
+            self.expel_peer(peer_id)
 
     # -- corruption reports ----------------------------------------------------------------
 

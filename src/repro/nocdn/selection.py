@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from repro.http.content import WebPage
 from repro.net.network import Network, NetworkError
@@ -20,6 +21,27 @@ from repro.nocdn.wrapper import ChunkAssignment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nocdn.origin import PeerInfo
+
+
+class UsablePeers(list):
+    """The origin's usable peers plus the id views selection needs.
+
+    A list of ``PeerInfo`` in registration order, carrying a frozenset
+    of their ids, the ids sorted, and the ids most-trusted first
+    (``(-trust, peer_id)``). The origin caches one instance until
+    liveness, trust, expulsion or quarantine changes, and every reader
+    shares it, so it must not be mutated.
+    """
+
+    __slots__ = ("ids", "ordered", "by_trust")
+
+    def __init__(self, peers: Iterable["PeerInfo"] = ()) -> None:
+        super().__init__(peers)
+        self.ids: FrozenSet[str] = frozenset(p.peer_id for p in self)
+        self.ordered: List[str] = sorted(self.ids)
+        self.by_trust: List[str] = [
+            p.peer_id for p in sorted(self, key=lambda p: (-p.trust,
+                                                           p.peer_id))]
 
 
 class SelectionPolicy:

@@ -31,7 +31,7 @@ import hashlib
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, TYPE_CHECKING
 
-from repro.nocdn.selection import SelectionPolicy
+from repro.nocdn.selection import SelectionPolicy, UsablePeers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nocdn.directory import ContentDirectory
@@ -94,11 +94,19 @@ class HashRing:
         if not self._dirty:
             return
         self._dirty = False
-        pairs = sorted(
-            (_hash_point(f"{peer_id}#{v}"), peer_id)
-            for peer_id in self._peers for v in range(self.vnodes))
-        self._points = [p for p, _ in pairs]
-        self._owners = [o for _, o in pairs]
+        # Sort packed ints ``point << shift | rank`` rather than
+        # ``(point, peer_id)`` tuples: ranks follow ``sorted(peers)``, so
+        # the order (ties included) is the tuple order, at int-compare
+        # cost.
+        ranked = sorted(self._peers)
+        shift = max(1, len(ranked).bit_length())
+        mask = (1 << shift) - 1
+        packed = sorted(
+            (_hash_point(f"{peer_id}#{v}") << shift) | rank
+            for rank, peer_id in enumerate(ranked)
+            for v in range(self.vnodes))
+        self._points = [x >> shift for x in packed]
+        self._owners = [ranked[x & mask] for x in packed]
 
     def owner(self, key: str, live: Iterable[str]) -> Optional[str]:
         """First live ring successor of ``key``, or None if none live."""
@@ -310,16 +318,15 @@ class StrategySelection(SelectionPolicy):
         self.site = site
 
     def assign(self, page, client, peers, network, rng):
-        by_id = {info.peer_id: info for info in peers}
-        live = set(by_id)
-        ordered = sorted(live)
+        usable = peers if isinstance(peers, UsablePeers) else UsablePeers(peers)
+        live, ordered = usable.ids, usable.ordered
         assignment = {}
         for obj in page.all_objects():
             self.strategy.record_request(obj.name, obj.size)
             peer_id = self.strategy.serving_peer(
                 obj.name, live, rng, directory=self.directory,
                 site=self.site, ordered=ordered)
-            if peer_id is None or peer_id not in by_id:
+            if peer_id is None or peer_id not in live:
                 peer_id = rng.choice(ordered)
             assignment[obj.name] = peer_id
         return assignment

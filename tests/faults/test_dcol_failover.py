@@ -2,6 +2,8 @@
 transfer watchdog, its detour withdrawn, and the transfer completes on
 the remaining (direct) subflow — reviving it if the connection stalled."""
 
+import pytest
+
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.manager import DetourManager
 from repro.hpop.core import Household, Hpop, User
@@ -109,3 +111,46 @@ class TestStallRevival:
         assert manager.metrics.counters["direct_failovers"].value >= 1
         assert done[0] > 6.0
         assert transfer.active_detours() == []
+
+    def _stall(self, sim, bed, hpops):
+        """Cut every path at t=1; the direct route heals at t=6."""
+        native = bed.network.links["native-route"]
+        wp_leg = bed.network.links["leg-client-wp0"]
+
+        def total_outage():
+            bed.network.fail_link(native)
+            bed.network.fail_link(wp_leg)
+            hpops[0].crash()
+
+        sim.at(1.0, total_outage, label="total-outage")
+        sim.at(6.0, lambda: bed.network.restore_link(native),
+               label="heal-direct")
+
+    def test_partitioned_revive_is_counted(self):
+        sim, bed, _c, services, hpops, manager = build(num_waypoints=1)
+        transfer = manager.start_transfer(bed.server, mib(10))
+        transfer.add_detour(services[0])
+        self._stall(sim, bed, hpops)
+        sim.run_until(300.0)
+        assert transfer.done
+        # Every watchdog tick during the outage found no route.
+        assert manager.metrics.counters["direct_revive_failures"].value >= 1
+        assert manager.metrics.counters["direct_failovers"].value >= 1
+
+    def test_non_routing_revive_error_propagates(self):
+        sim, bed, _c, services, hpops, manager = build(num_waypoints=1)
+        transfer = manager.start_transfer(bed.server, mib(10))
+        transfer.add_detour(services[0])
+        self._stall(sim, bed, hpops)
+
+        def broken_add_subflow(*_args, **_kwargs):
+            raise ValueError("bug, not a partition")
+
+        sim.at(2.0, lambda: setattr(transfer.connection, "add_subflow",
+                                    broken_add_subflow), label="break")
+        with pytest.raises(ValueError, match="bug, not a partition"):
+            sim.run_until(300.0)
+        # Partitioned ticks were counted and retried; the first revive
+        # that found a route hit the bug and surfaced it.
+        assert manager.metrics.counters["direct_revive_failures"].value >= 1
+        assert sim.now >= 6.0

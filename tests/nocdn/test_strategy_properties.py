@@ -10,12 +10,14 @@ quiesces, its entries mirror the caches they describe.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.http.cache import HttpCache
 from repro.http.content import WebObject
 from repro.nocdn.directory import ContentDirectory, DirectoryPublisher
+from repro.nocdn import strategy as strategy_module
 from repro.nocdn.strategy import RING_SPACE, HashRing
 from repro.sim.engine import Simulator
 
@@ -207,3 +209,45 @@ class TestRingSpace:
         shares = ring.arc_shares({"solo"})
         assert shares == {"solo": 1.0}
         assert RING_SPACE == 1 << 64
+
+
+def tuple_sorted_ring(peers, vnodes, hash_point):
+    """The reference build: sort ``(point, peer_id)`` tuples."""
+    pairs = sorted((hash_point(f"{peer_id}#{v}"), peer_id)
+                   for peer_id in peers for v in range(vnodes))
+    return [p for p, _ in pairs], [o for _, o in pairs]
+
+
+peer_names = st.text(alphabet="abcXYZ019-#", min_size=1, max_size=6)
+
+
+class TestPackedRingBuild:
+    """The packed-int ring build equals the tuple-sorted reference."""
+
+    @given(names=st.lists(peer_names, min_size=1, max_size=30, unique=True),
+           vnodes=st.integers(1, 8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packed_build_equals_tuple_sort(self, names, vnodes, data):
+        order = data.draw(st.permutations(names), label="insertion_order")
+        ring = HashRing(vnodes=vnodes)
+        for peer_id in order:
+            ring.add_peer(peer_id)
+        ring._ensure_sorted()
+        assert (ring._points, ring._owners) == tuple_sorted_ring(
+            names, vnodes, strategy_module._hash_point)
+
+    @given(names=st.lists(peer_names, min_size=2, max_size=12, unique=True))
+    @settings(max_examples=50, deadline=None)
+    def test_equal_points_break_ties_by_peer_id(self, names):
+        # Three hash values for every token: most points collide, so
+        # the order is decided by the tie rule alone.
+        def coarse(token):
+            return len(token) % 3
+
+        with mock.patch.object(strategy_module, "_hash_point", coarse):
+            ring = HashRing(vnodes=4)
+            for peer_id in reversed(sorted(names)):
+                ring.add_peer(peer_id)
+            ring._ensure_sorted()
+            expected = tuple_sorted_ring(names, 4, coarse)
+        assert (ring._points, ring._owners) == expected
