@@ -10,7 +10,9 @@
    against one where profiling was enabled and then disabled, and
    fails if the disabled path costs more than 5% — enabling the
    profiler must be free once it is off again, and the engine's
-   per-step profiler check must stay in the noise.
+   per-event dispatch check must stay in the noise. The same disabled
+   run is also counted exactly: it must make no profiler ``record``
+   and no tracer ``begin_event`` call at all.
 4. Runs a 10k-home fleet (analytic background aggregation, scraped
    TSDB) twice from the same seed and asserts the exports are
    byte-identical — the determinism contract at fleet scale, covering
@@ -31,6 +33,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -39,7 +42,9 @@ from repro.hpop.core import Household, Hpop, User  # noqa: E402
 from repro.http.client import HttpClient  # noqa: E402
 from repro.http.messages import HttpRequest  # noqa: E402
 from repro.net.topology import build_city  # noqa: E402
+from repro.obs.profile import LoopProfiler  # noqa: E402
 from repro.obs.timeseries import TimeSeriesDB  # noqa: E402
+from repro.obs.trace import Tracer  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.util.units import kib  # noqa: E402
 
@@ -127,7 +132,22 @@ def spin(sim: Simulator, events: int) -> float:
     return elapsed
 
 
+def count_disabled_calls() -> int:
+    """Per-event instrumentation calls made by a run after profiling
+    was enabled and disabled, counted with class-level patches."""
+    with mock.patch.object(LoopProfiler, "record") as record, \
+            mock.patch.object(Tracer, "begin_event") as begin_event:
+        toggled = Simulator(seed=1)
+        toggled.enable_profiling()
+        toggled.disable_profiling()
+        spin(toggled, 2_000)
+    return record.call_count + begin_event.call_count
+
+
 def check_disabled_overhead() -> None:
+    stray = count_disabled_calls()
+    assert stray == 0, (
+        f"disabled profiler still made {stray} per-event calls")
     base = float("inf")
     disabled = float("inf")
     for _ in range(5):
@@ -140,8 +160,8 @@ def check_disabled_overhead() -> None:
         disabled = min(disabled, spin(toggled, SPIN_EVENTS))
 
     ratio = disabled / base if base > 0 else 1.0
-    print(f"  disabled-profiler overhead OK (never-enabled "
-          f"{base * 1e3:.1f} ms, enabled-then-disabled "
+    print(f"  disabled-profiler overhead OK (0 per-event calls, "
+          f"never-enabled {base * 1e3:.1f} ms, enabled-then-disabled "
           f"{disabled * 1e3:.1f} ms, ratio {ratio:.3f})")
     assert ratio <= DISABLED_OVERHEAD_BUDGET, (
         f"disabled profiler costs {ratio:.3f}x, "

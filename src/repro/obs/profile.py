@@ -2,16 +2,17 @@
 
 The tracer answers "where did simulated time go"; this module answers
 "why is the simulator slow on my machine". A :class:`LoopProfiler`
-hooks :meth:`repro.sim.engine.Simulator.step` (via
-``Simulator.enable_profiling``) and attributes the wall-clock cost of
-every fired event to its label and callback, tracks the wall-vs-sim
-time ratio (how many host seconds one simulated second costs), and
-exports the standard collapsed-stack format that flamegraph tooling
-(``flamegraph.pl``, speedscope, inferno) consumes directly.
+hooks the engine's event loop (via ``Simulator.enable_profiling``, or
+``enable_tracing`` with its default ``profile_events=True``) and
+attributes the wall-clock cost of every fired event to its label and
+callback, tracks the wall-vs-sim time ratio (how many host seconds one
+simulated second costs), and exports the standard collapsed-stack
+format that flamegraph tooling (``flamegraph.pl``, speedscope, inferno)
+consumes directly. It is the only per-label wall profiler: the
+tracer's ``include_profile`` export writes this profiler's records.
 
 Profiles are wall-clock measurements and therefore *not* run-to-run
-deterministic; they are kept out of every byte-identity contract the
-way the tracer's ``include_profile`` records are.
+deterministic; they are kept out of every byte-identity contract.
 """
 
 from __future__ import annotations

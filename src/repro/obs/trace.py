@@ -19,16 +19,16 @@ Design notes
   the request that caused it.
 - **Determinism.** Span ids come from a monotonic counter and all
   recorded fields are simulated-time values, so two traced runs from the
-  same seed export byte-identical JSONL. Wall-clock profiling (per-label
-  callback time, for finding *host* hotspots) is kept out of the default
-  export and only written with ``include_profile=True``.
+  same seed export byte-identical JSONL. The wall-clock profile of the
+  tracer's :class:`~repro.obs.profile.LoopProfiler` (for finding *host*
+  hotspots) is kept out of the default export and only written with
+  ``include_profile=True``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
 
 _UNSET = object()
@@ -214,7 +214,7 @@ class Tracer:
     ``clock`` is any object with a ``now`` attribute in simulated
     seconds (a :class:`~repro.sim.engine.Simulator`). ``capacity``
     bounds the ring buffer; the oldest records are evicted and counted
-    in :attr:`dropped`. ``trace_events`` controls whether each fired
+    in :attr:`spans_dropped`. ``trace_events`` controls whether each fired
     engine event is recorded as an instant ``kind="event"`` mark (the
     glue that lets :mod:`repro.obs.report` reconstruct critical paths
     across the heap).
@@ -223,19 +223,12 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock: Any, capacity: int = 65536,
-                 trace_events: bool = True,
-                 profile_events: bool = True) -> None:
+                 trace_events: bool = True) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._clock = clock
         self.capacity = capacity
         self.trace_events = trace_events
-        self.profile_events = profile_events
-        # With both per-event marks and wall profiling off, the engine
-        # skips begin_event/end_event entirely and just swaps
-        # ``current`` around each callback — the fleet-bench "lite"
-        # hook, a couple of attribute stores per event.
-        self.lite = not trace_events and not profile_events
         self._records: deque = deque(maxlen=capacity)
         self._next_id = 1
         self.current: Optional[Span] = None
@@ -255,11 +248,10 @@ class Tracer:
         # enable_tail_sampling() (and settable directly for exemplars
         # without sampling).
         self.export_trace_ids = False
-        # Wall-clock profiling: label -> [fired count, wall seconds].
-        self.profile: Dict[str, List[float]] = {}
-        self.events_traced = 0
-        self.wall_seconds = 0.0
-        self._t0 = 0.0
+        # The LoopProfiler attached together with this tracer
+        # (``enable_tracing(profile_events=True)``); its per-label
+        # records go into ``export_jsonl(include_profile=True)``.
+        self.profiler: Optional[Any] = None
 
     # -- span API ---------------------------------------------------------
 
@@ -310,41 +302,21 @@ class Tracer:
     # -- engine integration ------------------------------------------------
 
     def begin_event(self, event: Any) -> None:
-        """Called by the engine just before an event's callback runs."""
+        """Record the instant ``kind="event"`` mark of an event about to
+        fire and make it current; the engine clears ``current`` after
+        the callback."""
         ctx = event.ctx
-        if self.trace_events:
-            now = self._clock.now
-            mark = Span(self, self._next_id,
-                        ctx.span_id if ctx is not None else None,
-                        event.label, now, {}, kind="event",
-                        trace_id=ctx.trace_id if ctx is not None else None)
-            self._next_id += 1
-            mark.end = now
-            self._record(mark)
-            self.current = mark
-        else:
-            self.current = ctx
-        self._t0 = perf_counter()
-
-    def end_event(self, event: Any) -> None:
-        """Called by the engine after the callback returns (or raises)."""
-        wall = perf_counter() - self._t0
-        self.current = None
-        if self.profile_events:
-            prof = self.profile.get(event.label)
-            if prof is None:
-                self.profile[event.label] = prof = [0, 0.0]
-            prof[0] += 1
-            prof[1] += wall
-            self.wall_seconds += wall
-        self.events_traced += 1
+        now = self._clock.now
+        mark = Span(self, self._next_id,
+                    ctx.span_id if ctx is not None else None,
+                    event.label, now, {}, kind="event",
+                    trace_id=ctx.trace_id if ctx is not None else None)
+        self._next_id += 1
+        mark.end = now
+        self._record(mark)
+        self.current = mark
 
     # -- storage / export ----------------------------------------------------
-
-    @property
-    def dropped(self) -> int:
-        """Back-compat alias for :attr:`spans_dropped`."""
-        return self.spans_dropped
 
     def _record(self, span: Span) -> None:
         if self.sampler is not None:
@@ -385,21 +357,15 @@ class Tracer:
         self.export_trace_ids = True
         return self.sampler
 
-    @property
-    def events_per_second(self) -> float:
-        """Events fired per wall-clock second of traced callback time."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_traced / self.wall_seconds
-
     def export_jsonl(self, path: str, include_profile: bool = False) -> int:
         """Write the trace as JSON Lines; returns the record count.
 
         The default export contains only simulated-time records, so two
         runs from the same seed produce byte-identical files. With
-        ``include_profile=True``, per-label wall-clock profile records
-        and a trailing ``meta`` record are appended — useful for hotspot
-        reports, at the cost of run-to-run byte stability.
+        ``include_profile=True`` and a :attr:`profiler`, its per-label
+        wall-clock records and a trailing ``meta`` record are appended —
+        useful for hotspot reports, at the cost of run-to-run byte
+        stability.
         """
         if self.sampler is not None:
             # Decide every in-flight trace so nothing is silently
@@ -429,19 +395,19 @@ class Tracer:
                                     sort_keys=True, separators=(",", ":")))
                 fh.write("\n")
                 written += 1
-            if include_profile:
-                for label in sorted(self.profile):
-                    count, wall = self.profile[label]
+            profiler = self.profiler if include_profile else None
+            if profiler is not None:
+                for label, stat in sorted(profiler.stats.items()):
                     fh.write(json.dumps(
                         {"kind": "profile", "label": label,
-                         "count": int(count), "wall_s": wall},
+                         "count": stat.count, "wall_s": stat.wall_seconds},
                         sort_keys=True, separators=(",", ":")))
                     fh.write("\n")
                     written += 1
                 fh.write(json.dumps(
-                    {"kind": "meta", "events": self.events_traced,
-                     "wall_s": self.wall_seconds,
-                     "events_per_s": self.events_per_second,
+                    {"kind": "meta", "events": profiler.events,
+                     "wall_s": profiler.wall_seconds,
+                     "events_per_s": profiler.events_per_second,
                      "dropped": self.spans_dropped},
                     sort_keys=True, separators=(",", ":")))
                 fh.write("\n")

@@ -16,10 +16,10 @@ Design notes
 - Cancellation is O(1): a cancelled event stays in the heap but is
   skipped when popped (a lazy-delete heap). Live-event counts are
   maintained incrementally, so :attr:`pending_events` is O(1) too.
-- :meth:`run` and :meth:`run_until` deliver events in batches: when no
-  tracer, profiler, or trace hook is attached they drain the heap in a
-  tight loop without the per-event :meth:`step` dispatch. Instrumented
-  runs take the exact same per-event path as before.
+- One loop fires events: :meth:`step`, :meth:`run` and
+  :meth:`run_until` are thin wrappers over ``_drain``. With no event
+  marks and no profiler it runs callbacks inline; otherwise one
+  ``_dispatch`` closure marks, runs and times each event.
 - The simulator also owns the :class:`~repro.util.ids.IdFactory` and
   :class:`~repro.util.rng.RngStreams` so that an entire simulation is
   reproducible from a single root seed.
@@ -28,6 +28,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import math
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -124,18 +125,15 @@ class Simulator:
         self._events_fired = 0
         self._pending = 0
         self._strong_pending = 0
-        self._trace_hooks: List[Callable[[Event], None]] = []
         # Disabled by default: the shared null tracer makes every
         # instrumentation site a cheap no-op. See enable_tracing().
         self.tracer = NULL_TRACER
-        # Disabled by default: the event-loop profiler costs one `is
-        # not None` check per step when off. See enable_profiling().
+        # Disabled by default. See enable_profiling().
         self.profiler: Optional["object"] = None
-        # True while no tracer/profiler/hook is attached: the batched
-        # run loops take the uninstrumented fast path. Kept as a plain
-        # attribute (one load per event) and recomputed by the
-        # enable_*/disable_*/add_trace_hook methods.
-        self._plain = True
+        # How _drain runs an instrumented event; None while nothing is
+        # attached that needs a per-event call. Rebuilt by the
+        # enable_*/disable_* methods.
+        self._dispatch: Optional[Callable[[Event], None]] = None
 
     # -- scheduling ----------------------------------------------------
 
@@ -174,15 +172,55 @@ class Simulator:
 
     # -- execution -----------------------------------------------------
 
-    def _recompute_plain(self) -> None:
-        self._plain = (self.profiler is None and not self.tracer.enabled
-                       and not self._trace_hooks)
+    def _rebuild_dispatch(self) -> None:
+        """Recompute :attr:`_dispatch` after instrumentation changes.
 
-    def step(self) -> bool:
-        """Fire the next pending event. Returns False if none remain."""
+        ``None`` while no tracer records event marks and no profiler is
+        attached: :meth:`_drain` then runs callbacks itself. Otherwise
+        one closure marks the event, runs it and times it.
+        """
+        tracer = self.tracer
+        profiler = self.profiler
+        marks = tracer.enabled and tracer.trace_events
+        if not marks and profiler is None:
+            self._dispatch = None
+            return
+        swap = tracer.enabled
+
+        def dispatch(event: Event) -> None:
+            t0 = perf_counter()
+            if marks:
+                tracer.begin_event(event)
+            elif swap:
+                tracer.current = event.ctx
+            try:
+                event.callback()
+            finally:
+                if swap:
+                    tracer.current = None
+                if profiler is not None:
+                    profiler.record(event, perf_counter() - t0)
+
+        self._dispatch = dispatch
+
+    def _drain(self, until: Optional[float], limit: int) -> int:
+        """Fire pending events in heap order; the one event loop.
+
+        With ``until=None`` it fires while strong events remain (the
+        quiescence rule of :meth:`run`); otherwise it fires events due
+        at or before ``until``. It stops after ``limit`` events and
+        returns how many fired.
+        """
         heap = self._heap
+        heappop = heapq.heappop
+        fired = 0
         while heap:
-            _time, _seq, event = heapq.heappop(heap)
+            if until is None:
+                if self._strong_pending <= 0:
+                    break
+            elif heap[0][0] > until:
+                break
+            event = heappop(heap)[2]
             if event._state != _PENDING:
                 continue
             self.now = event.time
@@ -192,42 +230,31 @@ class Simulator:
                 self._strong_pending -= 1
                 assert self._strong_pending >= 0, (
                     "strong-event accounting went negative on fire")
-            for hook in self._trace_hooks:
-                hook(event)
-            tracer = self.tracer
-            profiler = self.profiler
-            if profiler is not None:
-                t0 = perf_counter()
-            if tracer.enabled:
-                if tracer.lite:
-                    # No event marks, no wall profile: context
-                    # propagation is just swapping `current` around
-                    # the callback. Most fleet events carry no trace
-                    # context at all, and `current` is always None
-                    # between events, so those need no store either.
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                else:
-                    tracer.begin_event(event)
-                    try:
-                        event.callback()
-                    finally:
-                        tracer.end_event(event)
-            else:
+            # Read per event: a callback may attach or detach
+            # instrumentation in the middle of a drain.
+            if self._dispatch is not None:
+                self._dispatch(event)
+            elif event.ctx is None or not self.tracer.enabled:
                 event.callback()
-            if profiler is not None:
-                profiler.record(event, perf_counter() - t0)
+            else:
+                # Lite tracing: only the scheduling context travels.
+                # ``current`` is None between events, so events without
+                # a context (most of a fleet's) need no store at all.
+                tracer = self.tracer
+                tracer.current = event.ctx
+                try:
+                    event.callback()
+                finally:
+                    tracer.current = None
             self._events_fired += 1
-            return True
-        return False
+            fired += 1
+            if fired >= limit:
+                break
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next pending event. Returns False if none remain."""
+        return self._drain(math.inf, 1) == 1
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until quiescence: no *strong* events remain.
@@ -237,119 +264,24 @@ class Simulator:
         ``max_events`` is a runaway-loop backstop, not a normal control —
         hitting it raises so a bug cannot masquerade as completion.
         """
-        fired = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        while self._strong_pending > 0 and heap:
-            if not self._plain:
-                tracer = self.tracer
-                if (tracer.enabled and tracer.lite
-                        and self.profiler is None
-                        and not self._trace_hooks):
-                    # Batched lite-tracing path: same inlining as the
-                    # plain loop below, plus context propagation.
-                    _time, _seq, event = heappop(heap)
-                    if event._state != _PENDING:
-                        continue
-                    self.now = event.time
-                    event._state = _FIRED
-                    self._pending -= 1
-                    if not event.weak:
-                        self._strong_pending -= 1
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                    self._events_fired += 1
-                elif not self.step():
-                    break
-            else:
-                # Batched fast path: identical semantics to step(),
-                # inlined to avoid per-event dispatch overhead.
-                _time, _seq, event = heappop(heap)
-                if event._state != _PENDING:
-                    continue
-                self.now = event.time
-                event._state = _FIRED
-                self._pending -= 1
-                if not event.weak:
-                    self._strong_pending -= 1
-                event.callback()
-                self._events_fired += 1
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
+        fired = self._drain(None, max_events)
+        if fired and fired >= max_events:
+            raise SimulationError(
+                f"exceeded max_events={max_events}; likely a scheduling loop"
+            )
         return fired
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> int:
         """Run events with timestamps <= ``time``; advances clock to ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot run backwards to {time} from {self.now}")
-        fired = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            head_time, _seq, event = heap[0]
-            if event._state != _PENDING:
-                heappop(heap)
-                continue
-            if head_time > time:
-                break
-            if not self._plain:
-                tracer = self.tracer
-                if (tracer.enabled and tracer.lite
-                        and self.profiler is None
-                        and not self._trace_hooks):
-                    # Batched lite-tracing path (see run()).
-                    heappop(heap)
-                    self.now = event.time
-                    event._state = _FIRED
-                    self._pending -= 1
-                    if not event.weak:
-                        self._strong_pending -= 1
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                    self._events_fired += 1
-                else:
-                    self.step()
-            else:
-                heappop(heap)
-                self.now = event.time
-                event._state = _FIRED
-                self._pending -= 1
-                if not event.weak:
-                    self._strong_pending -= 1
-                event.callback()
-                self._events_fired += 1
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
+        fired = self._drain(time, max_events)
+        if fired and fired >= max_events:
+            raise SimulationError(
+                f"exceeded max_events={max_events}; likely a scheduling loop"
+            )
         self.now = max(self.now, time)
         return fired
-
-    def _next_pending_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2]._state != _PENDING:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     # -- introspection ---------------------------------------------------
 
@@ -363,11 +295,6 @@ class Simulator:
     def events_fired(self) -> int:
         return self._events_fired
 
-    def add_trace_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a hook called with each event just before it fires."""
-        self._trace_hooks.append(hook)
-        self._recompute_plain()
-
     # -- tracing ---------------------------------------------------------
 
     def enable_tracing(self, capacity: int = 65536,
@@ -377,33 +304,38 @@ class Simulator:
 
         Spans started via ``sim.tracer`` from here on are recorded into
         a ring buffer of ``capacity`` records; each fired event also
-        leaves an instant mark when ``trace_events`` is true, and
-        accrues into the per-label wall-clock profile when
-        ``profile_events`` is true. With both off the engine runs the
-        lite hook (context propagation only — the fleet-scale
-        configuration). Returns the tracer (also available as
-        :attr:`tracer`). Idempotent: a second call keeps the existing
-        recording tracer.
+        leaves an instant mark when ``trace_events`` is true. With
+        ``profile_events`` true the tracer also attaches (or adopts)
+        the :class:`~repro.obs.profile.LoopProfiler` via
+        :meth:`enable_profiling`; it is detached again with the tracer.
+        With both off only the scheduling context travels with events
+        (the fleet-scale "lite" configuration). Returns the tracer
+        (also available as :attr:`tracer`). Idempotent: a second call
+        keeps the existing recording tracer.
         """
         if not self.tracer.enabled:
             self.tracer = Tracer(self, capacity=capacity,
-                                 trace_events=trace_events,
-                                 profile_events=profile_events)
-        self._recompute_plain()
+                                 trace_events=trace_events)
+            if profile_events:
+                self.tracer.profiler = self.enable_profiling()
+        self._rebuild_dispatch()
         return self.tracer
 
     def disable_tracing(self) -> None:
-        """Detach the recording tracer and return to the no-op default."""
+        """Detach the recording tracer (and the profiler it attached)
+        and return to the no-op default."""
+        if self.tracer.enabled and self.profiler is self.tracer.profiler:
+            self.profiler = None
         self.tracer = NULL_TRACER
-        self._recompute_plain()
+        self._rebuild_dispatch()
 
     # -- profiling --------------------------------------------------------
 
     def enable_profiling(self) -> "LoopProfiler":
         """Attach a :class:`~repro.obs.profile.LoopProfiler`.
 
-        Each fired event's callback is wall-clock timed and attributed
-        to its label, independently of tracing (the profiler answers
+        Each fired event's callback is wall-clock timed once and
+        attributed to its label, independently of tracing (the profiler answers
         "where does the *host* burn CPU", the tracer "where does
         *simulated* time go"). Idempotent: a second call keeps the
         existing profiler. Returns the profiler (also available as
@@ -412,13 +344,13 @@ class Simulator:
         if self.profiler is None:
             from repro.obs.profile import LoopProfiler  # avoid cycle
             self.profiler = LoopProfiler(self)
-        self._recompute_plain()
+        self._rebuild_dispatch()
         return self.profiler
 
     def disable_profiling(self) -> None:
         """Detach the profiler; recorded stats remain readable on it."""
         self.profiler = None
-        self._recompute_plain()
+        self._rebuild_dispatch()
 
 
 class Process:

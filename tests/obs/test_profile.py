@@ -144,10 +144,73 @@ class TestEngineIntegration:
         assert prof.events == 1  # no longer recording
 
     def test_profiler_composes_with_tracer(self):
+        """enable_tracing() attaches the profiler; an explicit
+        enable_profiling() adopts it, and the event is both marked and
+        timed once."""
         sim = Simulator(seed=1)
         tracer = sim.enable_tracing()
         prof = sim.enable_profiling()
+        assert tracer.profiler is prof
         sim.schedule(1.0, lambda: None, label="tick")
         sim.run()
         assert prof.events == 1
-        assert tracer.events_traced == 1
+        assert prof.stats["tick"].count == 1
+        assert [s.name for s in tracer.spans() if s.kind == "event"] == [
+            "tick"]
+
+
+class TestSwitchedOffCostsNothing:
+    """Exact call counts, taken with class-level wraps: switched-off
+    instrumentation makes no per-event call, switched-on instrumentation
+    times each event exactly once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.sim.engine as engine
+        from repro.obs.trace import Tracer
+
+        counts = {"record": 0, "begin_event": 0, "perf_counter": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LoopProfiler, "record",
+                            counting("record", LoopProfiler.record))
+        monkeypatch.setattr(Tracer, "begin_event",
+                            counting("begin_event", Tracer.begin_event))
+        monkeypatch.setattr(engine, "perf_counter",
+                            counting("perf_counter", engine.perf_counter))
+        return counts
+
+    @staticmethod
+    def spin(sim, events=50):
+        for i in range(events):
+            sim.schedule(0.1 * (i + 1), lambda: None, label="tick")
+        sim.run()
+        assert sim.events_fired == events
+
+    def test_profiling_enabled_then_disabled(self, calls):
+        sim = Simulator(seed=1)
+        sim.enable_profiling()
+        sim.disable_profiling()
+        self.spin(sim)
+        assert calls == {"record": 0, "begin_event": 0, "perf_counter": 0}
+
+    def test_tracing_enabled_then_disabled(self, calls):
+        sim = Simulator(seed=1)
+        sim.enable_tracing()
+        sim.disable_tracing()
+        self.spin(sim)
+        assert calls == {"record": 0, "begin_event": 0, "perf_counter": 0}
+
+    def test_tracing_and_profiling_time_each_event_once(self, calls):
+        sim = Simulator(seed=1)
+        sim.enable_tracing()
+        prof = sim.enable_profiling()
+        self.spin(sim)
+        assert calls == {"record": 50, "begin_event": 50,
+                         "perf_counter": 100}
+        assert prof.events == 50

@@ -143,15 +143,16 @@ class TestEventPropagation:
 
 
 class TestLiteMode:
-    """trace_events=False, profile_events=False: the engine inlines the
-    per-event hook to context propagation only — both in step() and in
-    the batched run()/run_until() loops."""
+    """trace_events=False, profile_events=False: no event marks and no
+    profiler, so the engine's loop runs callbacks itself and only swaps
+    the scheduling context around them."""
 
     def test_lite_flag(self):
-        _sim, tracer = traced_sim(trace_events=False, profile_events=False)
-        assert tracer.lite
-        _sim2, full = traced_sim()
-        assert not full.lite
+        sim, _tracer = traced_sim(trace_events=False, profile_events=False)
+        assert sim._dispatch is None
+        assert sim.profiler is None
+        full, _ = traced_sim()
+        assert full._dispatch is not None
 
     def test_context_propagates_through_run(self):
         sim, tracer = traced_sim(trace_events=False, profile_events=False)
@@ -184,7 +185,7 @@ class TestLiteMode:
             sim.schedule(float(i + 1), lambda: None, label="a")
         sim.run()
         assert tracer.current is None
-        assert tracer.events_traced == 5
+        assert sim.events_fired == 5
 
     def test_no_marks_and_no_profile(self):
         sim, tracer = traced_sim(trace_events=False, profile_events=False)
@@ -192,7 +193,7 @@ class TestLiteMode:
             sim.schedule(1.0, lambda: None, label="work")
         sim.run()
         assert all(s.kind == "span" for s in tracer.spans())
-        assert tracer.profile == {}
+        assert sim.profiler is None and tracer.profiler is None
 
     def test_lite_matches_full_span_tree(self):
         """The same seeded workload yields the same span parentage in
@@ -224,7 +225,7 @@ class TestRingBuffer:
         for i in range(10):
             tracer.start_span(f"s{i}").finish()
         assert len(tracer.spans()) == 4
-        assert tracer.dropped == 6
+        assert tracer.spans_dropped == 6
         assert [s.name for s in tracer.spans()] == ["s6", "s7", "s8", "s9"]
 
     def test_bad_capacity_rejected(self):
@@ -282,26 +283,47 @@ class TestExport:
 
 
 class TestProfile:
-    def test_wall_clock_profile_by_label(self):
+    def test_wall_clock_profile_by_label(self, tmp_path):
+        """The tracer's profile is its LoopProfiler's, in the profiler
+        and in the include_profile export."""
         sim, tracer = traced_sim()
         sim.schedule(1.0, lambda: None, label="alpha")
         sim.schedule(2.0, lambda: None, label="alpha")
         sim.schedule(3.0, lambda: None, label="beta")
         sim.run()
-        assert tracer.profile["alpha"][0] == 2
-        assert tracer.profile["beta"][0] == 1
-        assert tracer.events_traced == 3
-        assert tracer.wall_seconds > 0
-        assert tracer.events_per_second > 0
+        prof = tracer.profiler
+        assert prof is sim.profiler
+        assert prof.stats["alpha"].count == 2
+        assert prof.stats["beta"].count == 1
+        assert prof.events == 3
+        assert prof.wall_seconds > 0
+        assert prof.events_per_second > 0
+        path = str(tmp_path / "t.jsonl")
+        tracer.export_jsonl(path, include_profile=True)
+        records = list(iter_jsonl(path))
+        counts = {r["label"]: r["count"] for r in records
+                  if r["kind"] == "profile"}
+        assert counts == {"alpha": 2, "beta": 1}
+        [meta] = [r for r in records if r["kind"] == "meta"]
+        assert meta["events"] == 3
+        assert meta["wall_s"] == prof.wall_seconds
+
+    def test_disable_tracing_detaches_its_profiler(self):
+        sim, tracer = traced_sim()
+        prof = tracer.profiler
+        sim.disable_tracing()
+        assert sim.profiler is None and sim._dispatch is None
+        sim.schedule(1.0, lambda: None, label="tick")
+        sim.run()
+        assert prof.events == 0
 
 
 class TestSpansDropped:
-    def test_counter_and_back_compat_alias(self):
+    def test_counter_counts_evictions(self):
         sim, tracer = traced_sim(capacity=2)
         for i in range(5):
             tracer.start_span(f"s{i}").finish()
         assert tracer.spans_dropped == 3
-        assert tracer.dropped == 3  # legacy alias reads the same counter
 
     def test_complete_trace_exports_no_dropped_record(self, tmp_path):
         sim, tracer = traced_sim()

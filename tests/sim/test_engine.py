@@ -112,14 +112,6 @@ class TestIntrospection:
         sim.run()
         assert sim.events_fired == 3
 
-    def test_trace_hook_sees_events(self):
-        sim = Simulator()
-        seen = []
-        sim.add_trace_hook(lambda e: seen.append(e.label))
-        sim.schedule(1.0, lambda: None, label="tick")
-        sim.run()
-        assert seen == ["tick"]
-
     def test_simulator_rng_deterministic(self, seeded_sim):
         a = seeded_sim(5).rng.stream("x").random()
         b = seeded_sim(5).rng.stream("x").random()

@@ -101,4 +101,6 @@ class TestDeterminismWithTracing:
         except ZeroDivisionError:
             pass
         assert tracer.current is None
-        assert tracer.events_traced == 1
+        assert [s.name for s in tracer.spans() if s.kind == "event"] == [
+            "boom"]
+        assert sim.profiler.stats["boom"].count == 1
